@@ -1,7 +1,7 @@
 // Standalone differential fuzzer for long runs.
 //
 //   fuzz_main [--seed=N] [--batches=N] [--sf=X] [--stop-on-first] [--cache]
-//             [--sessions=K] [--strategy=<all|exhaustive|greedy|approximate>]
+//             [--sessions=K] [--strategy=<all|exhaustive|approximate>]
 //
 // Generates `batches` random query batches (testing/query_gen.h), one
 // generator per seed in [seed, seed+batches), and cross-checks each under
@@ -10,9 +10,9 @@
 // it exactly. Exits nonzero when any divergence was found.
 //
 // --strategy (or SUBSHARE_FUZZ_STRATEGY) selects the CSE enumeration
-// strategy; `all` cross-checks exhaustive, greedy, and approximate plans
-// against each other and the naive reference in one run. Cache mode
-// supports the single-strategy values only.
+// strategy; `all` cross-checks exhaustive and approximate plans against
+// each other and the naive reference in one run. Cache mode supports the
+// single-strategy values only.
 //
 // With --cache (or SUBSHARE_FUZZ_CACHE=1), runs the cache-mode checker
 // instead (testing/cache_differential.h): each batch is replayed through
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     if (strategies.size() != 1) {
       std::fprintf(stderr,
                    "cache / multi-session modes check one strategy per run; "
-                   "pick one of exhaustive|greedy|approximate\n");
+                   "pick one of exhaustive|approximate\n");
       return 2;
     }
     if (sessions > 0) {

@@ -7,7 +7,6 @@
 #include "core/cse_key.h"
 #include "optimizer/cost_model.h"
 #include "util/bitset64.h"
-#include "util/env_config.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -51,8 +50,6 @@ const char* EnumerationStrategyName(EnumerationStrategy strategy) {
   switch (strategy) {
     case EnumerationStrategy::kExhaustive:
       return "exhaustive";
-    case EnumerationStrategy::kGreedy:
-      return "greedy";
     case EnumerationStrategy::kApproximate:
       return "approximate";
   }
@@ -62,20 +59,8 @@ const char* EnumerationStrategyName(EnumerationStrategy strategy) {
 std::optional<EnumerationStrategy> ParseEnumerationStrategy(
     const std::string& name) {
   if (name == "exhaustive") return EnumerationStrategy::kExhaustive;
-  if (name == "greedy") return EnumerationStrategy::kGreedy;
   if (name == "approximate") return EnumerationStrategy::kApproximate;
   return std::nullopt;
-}
-
-EnumerationStrategy DefaultEnumerationStrategy() {
-  // Snapshotted once per process (util/env_config) — safe under concurrent
-  // sessions. Per-session overrides go through
-  // CseOptimizerOptions::strategy, not the environment.
-  if (auto parsed = ParseEnumerationStrategy(ProcessEnv().enum_strategy);
-      parsed.has_value()) {
-    return *parsed;
-  }
-  return EnumerationStrategy::kExhaustive;
 }
 
 CseQueryOptimizer::CseQueryOptimizer(QueryContext* ctx,
@@ -112,29 +97,25 @@ PhysicalNodePtr CseQueryOptimizer::Enumerate(GroupId root, int n,
     case EnumerationStrategy::kExhaustive:
       return EnumerateExhaustive(root, n, std::move(normal_plan), best_set,
                                  metrics);
-    case EnumerationStrategy::kGreedy:
-      return EnumerateGreedy(root, n, std::move(normal_plan), best_set,
-                             metrics, /*lazy=*/false);
     case EnumerationStrategy::kApproximate:
-      return EnumerateGreedy(root, n, std::move(normal_plan), best_set,
-                             metrics, /*lazy=*/true);
+      return EnumerateApproximate(root, n, std::move(normal_plan), best_set,
+                                  metrics);
   }
   return normal_plan;
 }
 
-// The greedy strategies grow the enabled set one candidate per round,
-// always keeping the cheapest plan seen. Cost is monotone non-increasing
-// in the enabled set (enabling a candidate only adds plan alternatives),
-// so the final cost never exceeds the normal (no-sharing) cost. In lazy
-// mode each candidate carries an upper bound on its incremental benefit —
-// the benefit measured the last time it was costed, which only shrinks as
-// the set grows — and the queue's max is re-costed and accepted outright
-// when its fresh benefit still dominates every other bound.
-PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
-                                                   PhysicalNodePtr normal_plan,
-                                                   Bitset64* best_set,
-                                                   CseMetrics* metrics,
-                                                   bool lazy) {
+// Kathuria–Sudarshan-style lazy greedy over the benefit lattice: grows the
+// enabled set one candidate per round, always keeping the cheapest plan
+// seen. Cost is monotone non-increasing in the enabled set (enabling a
+// candidate only adds plan alternatives), so the final cost never exceeds
+// the normal (no-sharing) cost. Each candidate carries an upper bound on
+// its incremental benefit — the benefit measured the last time it was
+// costed, which only shrinks as the set grows — and the queue's max is
+// re-costed and accepted outright when its fresh benefit still dominates
+// every other bound.
+PhysicalNodePtr CseQueryOptimizer::EnumerateApproximate(
+    GroupId root, int n, PhysicalNodePtr normal_plan, Bitset64* best_set,
+    CseMetrics* metrics) {
   PhysicalNodePtr best = normal_plan;
   *best_set = Bitset64();
   OptTrace* trace = metrics != nullptr ? &metrics->trace : nullptr;
@@ -154,8 +135,7 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
     ++opts;
     uint64_t s = current | (1ULL << c);
     PhysicalNodePtr plan = optimizer_->BestPlan(root, Bitset64(s));
-    std::string note = StrFormat("%s round %d: +#%d",
-                                 lazy ? "approximate" : "greedy", round, c);
+    std::string note = StrFormat("approximate round %d: +#%d", round, c);
     if (plan == nullptr) {
       if (trace != nullptr) {
         trace->enumeration.push_back({s, -1, 0, false, std::move(note)});
@@ -186,100 +166,62 @@ PhysicalNodePtr CseQueryOptimizer::EnumerateGreedy(GroupId root, int n,
     }
   };
 
-  if (!lazy) {
-    // Volcano-MQO greedy: every round re-costs all remaining candidates
-    // and admits the one with the largest positive incremental benefit.
-    std::vector<int> remaining(n);
-    for (int i = 0; i < n; ++i) remaining[i] = i;
-    bool capped = false;
-    while (!remaining.empty() && !capped) {
-      ++round;
-      double best_delta = 0;
-      int pick = -1;
-      size_t pick_pos = 0;
-      size_t pick_step = 0;
-      PhysicalNodePtr pick_plan;
-      uint64_t pick_used = 0;
-      for (size_t pos = 0; pos < remaining.size(); ++pos) {
-        double delta = 0;
-        PhysicalNodePtr plan;
-        uint64_t used = 0;
-        if (!try_candidate(remaining[pos], &delta, &plan, &used)) {
-          capped = true;
-          break;
-        }
-        if (plan != nullptr && delta > best_delta) {
-          best_delta = delta;
-          pick = remaining[pos];
-          pick_pos = pos;
-          pick_step = trace != nullptr ? trace->enumeration.size() - 1 : 0;
-          pick_plan = std::move(plan);
-          pick_used = used;
-        }
-      }
-      if (pick < 0) break;
-      accept(pick, std::move(pick_plan), pick_used, pick_step);
-      remaining.erase(remaining.begin() + pick_pos);
+  // Seed every candidate's bound with its singleton benefit; candidates
+  // whose refreshed benefit is non-positive are pruned permanently
+  // (benefits only shrink as the set grows).
+  using Entry = std::pair<double, int>;  // (stale benefit bound, id)
+  std::priority_queue<Entry> queue;
+  bool capped = false;
+  for (int c = 0; c < n && !capped; ++c) {
+    ++round;
+    double delta = 0;
+    PhysicalNodePtr plan;
+    uint64_t used = 0;
+    if (!try_candidate(c, &delta, &plan, &used)) {
+      capped = true;
+      break;
     }
-  } else {
-    // Kathuria–Sudarshan-style lazy greedy over the benefit lattice.
-    // Seed every candidate's bound with its singleton benefit; candidates
-    // whose refreshed benefit is non-positive are pruned permanently
-    // (benefits only shrink as the set grows).
-    using Entry = std::pair<double, int>;  // (stale benefit bound, id)
-    std::priority_queue<Entry> queue;
-    bool capped = false;
-    for (int c = 0; c < n && !capped; ++c) {
-      ++round;
-      double delta = 0;
-      PhysicalNodePtr plan;
-      uint64_t used = 0;
-      if (!try_candidate(c, &delta, &plan, &used)) {
-        capped = true;
-        break;
+    if (plan == nullptr || delta <= 0) {
+      if (trace != nullptr) {
+        trace->prunes.push_back(
+            {StrFormat("candidate #%d", c), "KS",
+             "non-positive singleton benefit; pruned from the lattice"});
       }
-      if (plan == nullptr || delta <= 0) {
-        if (trace != nullptr) {
-          trace->prunes.push_back(
-              {StrFormat("candidate #%d", c), "KS",
-               "non-positive singleton benefit; pruned from the lattice"});
-        }
-        continue;
+      continue;
+    }
+    queue.push({delta, c});
+  }
+  while (!queue.empty() && !capped) {
+    ++round;
+    const int c = queue.top().second;
+    queue.pop();
+    double delta = 0;
+    PhysicalNodePtr plan;
+    uint64_t used = 0;
+    if (!try_candidate(c, &delta, &plan, &used)) {
+      capped = true;
+      break;
+    }
+    if (plan == nullptr || delta <= 0) {
+      if (trace != nullptr) {
+        trace->prunes.push_back(
+            {StrFormat("candidate #%d", c), "KS",
+             "refreshed benefit non-positive; pruned from the lattice"});
       }
+      continue;
+    }
+    if (queue.empty() || delta >= queue.top().first) {
+      // Fresh benefit dominates every stale bound: accept without
+      // re-costing the rest of the queue.
+      if (trace != nullptr) {
+        trace->skipped_stale_bound +=
+            static_cast<int64_t>(queue.size());
+      }
+      accept(c, std::move(plan), used,
+             trace != nullptr ? trace->enumeration.size() - 1 : 0);
+    } else {
+      // Bound was stale; requeue with the (strictly smaller) fresh value.
       queue.push({delta, c});
-    }
-    while (!queue.empty() && !capped) {
-      ++round;
-      auto [bound, c] = queue.top();
-      queue.pop();
-      double delta = 0;
-      PhysicalNodePtr plan;
-      uint64_t used = 0;
-      if (!try_candidate(c, &delta, &plan, &used)) {
-        capped = true;
-        break;
-      }
-      if (plan == nullptr || delta <= 0) {
-        if (trace != nullptr) {
-          trace->prunes.push_back(
-              {StrFormat("candidate #%d", c), "KS",
-               "refreshed benefit non-positive; pruned from the lattice"});
-        }
-        continue;
-      }
-      if (queue.empty() || delta >= queue.top().first) {
-        // Fresh benefit dominates every stale bound: accept without
-        // re-costing the rest of the queue.
-        if (trace != nullptr) {
-          trace->skipped_stale_bound +=
-              static_cast<int64_t>(queue.size());
-        }
-        accept(c, std::move(plan), used,
-               trace != nullptr ? trace->enumeration.size() - 1 : 0);
-      } else {
-        // Bound was stale; requeue with the (strictly smaller) fresh value.
-        queue.push({delta, c});
-      }
     }
   }
 

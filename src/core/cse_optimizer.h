@@ -36,29 +36,20 @@ enum class EnumerationStrategy {
   // §5.3 subset re-optimization with Props 5.4–5.6 (the paper; default).
   // Optimal over the candidate set but exponential in its size.
   kExhaustive,
-  // Volcano-MQO-style greedy (Roy et al.): add the candidate with the best
-  // incremental benefit one at a time, fully re-costing the remaining
-  // candidates each round; the per-(group, enabled ∩ relevant) best-plan
-  // memo means each re-cost touches only the groups the new candidate
-  // affects. O(N²) optimizations.
-  kGreedy,
-  // Kathuria–Sudarshan-style greedy over the benefit lattice: like greedy,
-  // but candidate benefits are kept as lazy upper bounds (benefits shrink
-  // as the set grows), so a popped candidate whose refreshed benefit still
-  // dominates the queue is accepted without re-costing anyone else, and a
-  // candidate whose refreshed benefit drops to zero is pruned for good.
-  // Typically O(N log N) optimizations.
+  // Kathuria–Sudarshan-style lazy greedy over the benefit lattice: add
+  // the candidate with the best incremental benefit one at a time, keeping
+  // benefits as lazy upper bounds (benefits shrink as the set grows), so a
+  // popped candidate whose refreshed benefit still dominates the queue is
+  // accepted without re-costing anyone else, and a candidate whose
+  // refreshed benefit drops to zero is pruned for good. Typically
+  // O(N log N) optimizations.
   kApproximate,
 };
 
-// "exhaustive" / "greedy" / "approximate".
+// "exhaustive" / "approximate".
 const char* EnumerationStrategyName(EnumerationStrategy strategy);
 std::optional<EnumerationStrategy> ParseEnumerationStrategy(
     const std::string& name);
-// Process-wide default: SUBSHARE_ENUM_STRATEGY when set to a valid name
-// (read once), else kExhaustive. Lets CI run the whole suite under another
-// strategy; tests that assert §5.3-specific behavior must pin kExhaustive.
-EnumerationStrategy DefaultEnumerationStrategy();
 
 struct CseOptimizerOptions {
   bool enable_cse = true;
@@ -76,7 +67,7 @@ struct CseOptimizerOptions {
   // Hard cap on CSE re-optimizations.
   int max_optimizations = 512;
   // Enabled-set search strategy (Step 3).
-  EnumerationStrategy strategy = DefaultEnumerationStrategy();
+  EnumerationStrategy strategy = EnumerationStrategy::kExhaustive;
   // Cross-batch result recycler (not owned; nullptr = disabled). When set,
   // candidates whose canonical key hits a valid cached spool are costed as
   // already-materialized: zero initial cost, C_R per read.
@@ -136,12 +127,11 @@ class CseQueryOptimizer {
   PhysicalNodePtr EnumerateExhaustive(GroupId root, int num_candidates,
                                       PhysicalNodePtr normal_plan,
                                       Bitset64* best_set, CseMetrics* metrics);
-  // kGreedy (lazy=false) and kApproximate (lazy=true) share the incremental
-  // add-one-candidate loop; lazy mode adds the stale-bound pruning.
-  PhysicalNodePtr EnumerateGreedy(GroupId root, int num_candidates,
-                                  PhysicalNodePtr normal_plan,
-                                  Bitset64* best_set, CseMetrics* metrics,
-                                  bool lazy);
+  // Kathuria–Sudarshan lazy greedy with stale-bound pruning.
+  PhysicalNodePtr EnumerateApproximate(GroupId root, int num_candidates,
+                                       PhysicalNodePtr normal_plan,
+                                       Bitset64* best_set,
+                                       CseMetrics* metrics);
   // Candidates actually spooled by enough consumers under `enabled_mask`
   // (recycled candidates need one reader, fresh ones two — §5.2).
   uint64_t UsedMask(const PhysicalNode& plan, uint64_t enabled_mask) const;

@@ -45,9 +45,9 @@ struct OptTrace {
   };
 
   // Enumeration: one entry per enabled set actually optimized. Under the
-  // exhaustive strategy these are §5.3 subset steps; the greedy /
-  // approximate strategies tag each step with a provenance note ("greedy
-  // round 2: try +#3") so a report is never misread as §5 subset steps.
+  // exhaustive strategy these are §5.3 subset steps; the approximate
+  // strategy tags each step with a provenance note ("approximate round 2:
+  // +#3") so a report is never misread as §5 subset steps.
   struct EnumStep {
     uint64_t subset = 0;    // enabled candidate bitmask
     double cost = 0;        // best plan cost under this set (<0: infeasible)
@@ -75,7 +75,7 @@ struct OptTrace {
   // most 64 survive no matter what the option says).
   int64_t candidates_dropped = 0;
   // Which strategy produced the enumeration steps above ("exhaustive",
-  // "greedy", "approximate") — the chosen-set provenance.
+  // "approximate") — the chosen-set provenance.
   std::string strategy = "exhaustive";
   // Approximate strategy only: candidates accepted on a stale lazy bound
   // without re-costing the rest of the queue (Kathuria–Sudarshan pruning).

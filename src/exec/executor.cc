@@ -5,13 +5,10 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/env_config.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
 namespace subshare {
-
-bool DefaultPrefetchEnabled() { return ProcessEnv().prefetch; }
 
 std::string ExecutionMetrics::ExplainMetrics() const {
   std::string out = StrFormat(
@@ -37,10 +34,9 @@ std::string ExecutionMetrics::ExplainMetrics() const {
       static_cast<long long>(rows_spooled),
       static_cast<long long>(spool_rows_read), elapsed_seconds * 1e3);
   out += StrFormat(
-      "  probe_windows=%lld probe_keys=%lld in_flight=%d prefetch=%s\n",
+      "  probe_windows=%lld probe_keys=%lld\n",
       static_cast<long long>(probe_windows),
-      static_cast<long long>(probe_keys), probe_in_flight,
-      prefetch_enabled ? "on" : "off");
+      static_cast<long long>(probe_keys));
   return out;
 }
 
@@ -57,7 +53,6 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
   ExecContext ctx;
   ctx.work_tables = &work_tables;
   ctx.mode = options.mode;
-  ctx.prefetch = options.prefetch;
   ctx.time_operators = options.time_operators && metrics != nullptr;
 
   // Materialize each chosen CSE once (paper: the spool operator writes the
@@ -140,8 +135,6 @@ std::vector<StatementResult> ExecutePlan(const ExecutablePlan& plan,
     metrics->spool_bytes_row_model = spool_bytes_row_model;
     metrics->probe_windows = ctx.probe_windows;
     metrics->probe_keys = ctx.probe_keys;
-    metrics->probe_in_flight = ctx.probe_in_flight;
-    metrics->prefetch_enabled = ctx.prefetch;
     metrics->elapsed_seconds = timer.ElapsedSeconds();
     metrics->operators.clear();
     metrics->operators.reserve(ctx.op_stats().size());

@@ -22,21 +22,9 @@ struct StatementResult {
   std::vector<Row> rows;
 };
 
-// True unless SUBSHARE_PREFETCH=0 is set in the environment (snapshotted
-// once per process by util/env_config — safe under concurrent sessions).
-// Default for ExecOptions::prefetch, so the knob reaches every execution —
-// including the differential fuzzer — without plumbing. Per-session
-// overrides set ExecOptions::prefetch (via QueryOptions::exec) instead of
-// touching the environment.
-bool DefaultPrefetchEnabled();
-
 // Execution knobs, orthogonal to plan choice.
 struct ExecOptions {
   ExecMode mode = ExecMode::kBatch;
-  // AMAC-interleaved hash-join probes + build-side bucket prefetch
-  // (DESIGN.md §11). Off runs the straight-line reference loops; results
-  // must be identical either way.
-  bool prefetch = DefaultPrefetchEnabled();
   // Collect per-operator wall times (cheap in batch mode: two clock reads
   // per batch; per-row in row-at-a-time mode). Benchmarks comparing modes
   // turn this off so neither path pays for instrumentation.
@@ -71,8 +59,6 @@ struct ExecutionMetrics {
   int64_t spool_bytes_row_model = 0;  // same data costed at row-major layout
   int64_t probe_windows = 0;     // batched hash-join probe windows (FindBatch)
   int64_t probe_keys = 0;        // probe keys resolved through those windows
-  int probe_in_flight = 0;       // max in-flight probe states observed
-  bool prefetch_enabled = true;  // mode the probes ran in
   double elapsed_seconds = 0;
   std::vector<OperatorMetrics> operators;  // empty when metrics not requested
 

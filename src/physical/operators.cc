@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "physical/column_kernels.h"
-#include "storage/btree_index.h"
 #include "util/check.h"
 #include "util/hash.h"
 
@@ -132,12 +131,9 @@ bool HasNullAt(const Row& row, const std::vector<int>& idx) {
 // hash (chains may interleave hash-colliding keys; callers filter at emit).
 // Building and probing do no per-row allocation, unlike the RowKey map.
 //
-// Probes run per window through FindBatch (DESIGN.md §11): with prefetch
-// enabled it is an AMAC-style state machine — up to kInFlight lookups in
-// flight, each issuing a prefetch for its next slot line and yielding, so
-// the DRAM latencies of a window's cache misses overlap instead of
-// serializing. With prefetch disabled it is the straight-line reference
-// loop (single-entry memo for clustered keys, e.g. lineitem by l_orderkey).
+// Probes run per window through FindBatch (DESIGN.md §11): one
+// straight-line loop with a single-entry memo, so clustered probe keys
+// (e.g. lineitem by l_orderkey) resolve each run of equal keys once.
 struct ChainTable {
   struct Slot {
     uint64_t key;       // valid where head >= 0
@@ -146,9 +142,6 @@ struct ChainTable {
   std::vector<Slot> slots;
   std::vector<int32_t> next;  // build row -> next row with the same slot key
   size_t mask = 0;
-
-  static constexpr int kInFlight = 8;        // AMAC probe states per window
-  static constexpr int kBuildLookahead = 8;  // build-side prefetch distance
 
   static uint64_t Mix(uint64_t x) {  // splitmix64 finalizer
     x += 0x9e3779b97f4a7c15ULL;
@@ -159,19 +152,14 @@ struct ChainTable {
 
   // Inserts keys[i] -> rows[i] chains. `num_rows` sizes next (row indexes
   // index into it); n <= num_rows since null-key rows are pre-filtered by
-  // the caller. With `prefetch`, the slot line of the insert kBuildLookahead
-  // ahead is requested before probing the current one.
-  void Build(const uint64_t* keys, const int32_t* rows, int n, int num_rows,
-             bool prefetch) {
+  // the caller.
+  void Build(const uint64_t* keys, const int32_t* rows, int n, int num_rows) {
     size_t cap = 16;
     while (cap < static_cast<size_t>(num_rows) * 2) cap <<= 1;
     mask = cap - 1;
     slots.assign(cap, Slot());
     next.assign(static_cast<size_t>(num_rows), -1);
     for (int i = 0; i < n; ++i) {
-      if (prefetch && i + kBuildLookahead < n) {
-        PrefetchRead(&slots[Mix(keys[i + kBuildLookahead]) & mask]);
-      }
       const uint64_t k = keys[i];
       size_t s = Mix(k) & mask;
       while (slots[s].head >= 0 && slots[s].key != k) s = (s + 1) & mask;
@@ -191,61 +179,18 @@ struct ChainTable {
   }
 
   // Resolves the chain head for each of keys[0, n) into heads[0, n).
-  // Returns the in-flight depth used (for the probe counters).
-  int FindBatch(const uint64_t* keys, int n, int32_t* heads,
-                bool prefetch) const {
-    if (n == 0) return 0;
-    if (!prefetch) {
-      // Straight-line reference path; the memo serves clustered inputs.
-      uint64_t last_key = 0;
-      int32_t last_head = -1;
-      bool has_last = false;
-      for (int i = 0; i < n; ++i) {
-        if (!has_last || keys[i] != last_key) {
-          has_last = true;
-          last_key = keys[i];
-          last_head = Find(last_key);
-        }
-        heads[i] = last_head;
+  void FindBatch(const uint64_t* keys, int n, int32_t* heads) const {
+    uint64_t last_key = 0;
+    int32_t last_head = -1;
+    bool has_last = false;
+    for (int i = 0; i < n; ++i) {
+      if (!has_last || keys[i] != last_key) {
+        has_last = true;
+        last_key = keys[i];
+        last_head = Find(last_key);
       }
-      return 1;
+      heads[i] = last_head;
     }
-    struct State {
-      int idx;      // index into keys/heads
-      size_t slot;  // current slot under inspection
-    };
-    State st[kInFlight];
-    int feed = 0;  // next key to launch
-    int live = 0;  // states in flight
-    auto launch = [&](State* s) {
-      s->idx = feed;
-      s->slot = Mix(keys[feed]) & mask;
-      PrefetchRead(&slots[s->slot]);
-      ++feed;
-    };
-    while (live < kInFlight && feed < n) launch(&st[live++]);
-    const int depth = live;
-    while (live > 0) {
-      for (int k = 0; k < live;) {
-        State& s = st[k];
-        const Slot& sl = slots[s.slot];
-        if (sl.head >= 0 && sl.key != keys[s.idx]) {
-          s.slot = (s.slot + 1) & mask;  // occupied by another key: step on
-          PrefetchRead(&slots[s.slot]);
-          ++k;  // yield — let the prefetch land while siblings advance
-          continue;
-        }
-        heads[s.idx] = sl.head;  // hit (key match) or miss (empty slot)
-        if (sl.head >= 0) PrefetchRead(&next[static_cast<size_t>(sl.head)]);
-        if (feed < n) {
-          launch(&s);
-          ++k;
-        } else {
-          st[k] = st[--live];  // retire; re-examine the swapped-in state
-        }
-      }
-    }
-    return depth;
   }
 };
 
@@ -445,8 +390,7 @@ class FilterOp : public Operator {
 
 // Hash join: builds on the right child, probes with the left. Batched
 // probes extract keys per window (in place, no key row allocated) and
-// resolve all chain heads through ChainTable::FindBatch — AMAC-interleaved
-// when ExecContext::prefetch is set, straight-line otherwise. When the
+// resolve all chain heads through one ChainTable::FindBatch pass. When the
 // probe child is a scan over stable storage (ScanSource), the probe fuses
 // with it: windows of the backing rows are filtered and probed in place,
 // skipping the scan's per-row output copies entirely.
@@ -505,7 +449,7 @@ class HashJoinOp : public Operator {
         key_rows.push_back(static_cast<int32_t>(i));
       }
       table_.Build(keys.data(), key_rows.data(), static_cast<int>(keys.size()),
-                   static_cast<int>(build_rows_.size()), ctx_->prefetch);
+                   static_cast<int>(build_rows_.size()));
     } else {
       build_.reserve(build_rows.size());
       for (Row& row : build_rows) {
@@ -752,7 +696,7 @@ class HashJoinOp : public Operator {
   // One probe window over a freshly pulled batch: extract each row's key
   // (null keys — and non-integer keys on the int path — resolve to "no
   // match" without touching the table), then resolve all chain heads in one
-  // FindBatch pass so the lookups' cache misses overlap.
+  // FindBatch pass.
   void ResolveBatchHeads() {
     const int n = probe_.size();
     batch_heads_.assign(static_cast<size_t>(n), -1);
@@ -773,21 +717,19 @@ class HashJoinOp : public Operator {
       key_rows_.push_back(i);
     }
     win_heads_.resize(win_keys_.size());
-    int depth = table_.FindBatch(win_keys_.data(),
-                                 static_cast<int>(win_keys_.size()),
-                                 win_heads_.data(), ctx_->prefetch);
+    table_.FindBatch(win_keys_.data(), static_cast<int>(win_keys_.size()),
+                     win_heads_.data());
     for (size_t j = 0; j < key_rows_.size(); ++j) {
       batch_heads_[static_cast<size_t>(key_rows_[j])] = win_heads_[j];
     }
-    NoteProbeWindow(static_cast<int>(win_keys_.size()), depth);
+    NoteProbeWindow(static_cast<int>(win_keys_.size()));
   }
 
   // Probe-counter bookkeeping, one call per FindBatch window.
-  void NoteProbeWindow(int keys, int depth) {
+  void NoteProbeWindow(int keys) {
     if (keys == 0) return;
     ++ctx_->probe_windows;
     ctx_->probe_keys += keys;
-    if (depth > ctx_->probe_in_flight) ctx_->probe_in_flight = depth;
   }
 
   // Next probe row id read in place from the fused scan's backing columns;
@@ -878,9 +820,8 @@ class HashJoinOp : public Operator {
         }
       }
       win_heads_.resize(static_cast<size_t>(count));
-      int depth = table_.FindBatch(win_keys_.data(), count, win_heads_.data(),
-                                   ctx_->prefetch);
-      NoteProbeWindow(count, depth);
+      table_.FindBatch(win_keys_.data(), count, win_heads_.data());
+      NoteProbeWindow(count);
       fused_->stats->rows_out += count;
       stats_->rows_in += count;
       win_count_ = count;

@@ -60,17 +60,11 @@ struct ExecContext {
   // so the row-at-a-time path is not penalized by per-row clock reads.
   bool time_operators = true;
 
-  // AMAC/group-prefetch interleaving in the batched hash-join probe (and
-  // build-side bucket prefetch). Off = the straight-line reference loops;
-  // both paths must produce identical results (differentially fuzzed).
-  bool prefetch = true;
-
   int64_t rows_scanned = 0;      // base-table + work-table rows read
   int64_t rows_spooled = 0;      // rows written into work tables
   int64_t spool_rows_read = 0;   // rows read back out of work tables
   int64_t probe_windows = 0;     // hash-join probe windows (FindBatch calls)
   int64_t probe_keys = 0;        // probe keys resolved through those windows
-  int probe_in_flight = 0;       // max in-flight probe states observed
 
   // Label applied to operators registered from now on (set by the executor
   // before building each CSE / statement plan).

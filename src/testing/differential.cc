@@ -100,8 +100,7 @@ void CountSpoolScans(const PhysicalNode& node, std::map<int, int>* scans) {
 }  // namespace
 
 std::vector<EnumerationStrategy> AllEnumerationStrategies() {
-  return {EnumerationStrategy::kExhaustive, EnumerationStrategy::kGreedy,
-          EnumerationStrategy::kApproximate};
+  return {EnumerationStrategy::kExhaustive, EnumerationStrategy::kApproximate};
 }
 
 std::string PlanInvariantViolation(const ExecutablePlan& plan) {

@@ -3,7 +3,7 @@
 //
 //     row-mode naive, batch-mode naive, and row + batch mode CSE for every
 //     configured enumeration strategy (§5.3 exhaustive by default; with a
-//     strategy sweep, greedy and approximate too)
+//     strategy sweep, approximate too)
 //
 // — and cross-checks that every statement produces the same result multiset
 // (the repo's central correctness property: CSE sharing must be invisible in
@@ -40,7 +40,7 @@ struct DiffOptions {
   int max_shrink_steps = 64;         // accepted reductions before giving up
 };
 
-// The full strategy sweep: {exhaustive, greedy, approximate}.
+// The full strategy sweep: {exhaustive, approximate}.
 std::vector<EnumerationStrategy> AllEnumerationStrategies();
 
 // A confirmed disagreement between configurations (or a violated plan

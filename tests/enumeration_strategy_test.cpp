@@ -1,7 +1,7 @@
-// Enumeration-strategy tests (DESIGN.md §12): the greedy and approximate
-// strategies must never lose to the no-sharing plan, the approximate
-// strategy must respect its provable best-singleton bound, the §5.4
-// optimization-history reuse must fire for every strategy, the §5.2
+// Enumeration-strategy tests (DESIGN.md §12): the exhaustive and
+// approximate strategies must never lose to the no-sharing plan, the
+// approximate strategy must respect its provable best-singleton bound, the
+// §5.4 optimization-history reuse must fire for every strategy, the §5.2
 // single-consumer discard must hold for every strategy, and ExplainTrace()
 // must label which strategy produced each enumeration step.
 #include <gtest/gtest.h>
@@ -303,7 +303,6 @@ TEST_P(StrategyParamTest, CandidateClampBeyondBitsetCapacity) {
 INSTANTIATE_TEST_SUITE_P(
     Strategies, StrategyParamTest,
     ::testing::Values(EnumerationStrategy::kExhaustive,
-                      EnumerationStrategy::kGreedy,
                       EnumerationStrategy::kApproximate),
     [](const ::testing::TestParamInfo<EnumerationStrategy>& info) {
       return std::string(EnumerationStrategyName(info.param));
@@ -337,9 +336,9 @@ TEST_F(StrategyTest, ApproximateWithinProvableBound) {
 }
 
 TEST_F(StrategyTest, GreedyStrategiesAgreeWithExhaustiveHere) {
-  // Not a general guarantee — just pinning that on this batch the greedy
-  // strategies find the exhaustive optimum, so a silent regression in the
-  // incremental-benefit loop shows up as a cost change.
+  // Not a general guarantee — just pinning that on this batch the
+  // approximate strategy finds the exhaustive optimum, so a silent
+  // regression in the incremental-benefit loop shows up as a cost change.
   std::vector<double> costs;
   for (EnumerationStrategy strategy : testing::AllEnumerationStrategies()) {
     QueryContext ctx(catalog_);
@@ -352,16 +351,15 @@ TEST_F(StrategyTest, GreedyStrategiesAgreeWithExhaustiveHere) {
     optimizer.Optimize(*stmts, &metrics);
     costs.push_back(metrics.final_cost);
   }
-  ASSERT_EQ(costs.size(), 3u);
+  ASSERT_EQ(costs.size(), 2u);
   EXPECT_NEAR(costs[1], costs[0], 1e-6 * costs[0]);
-  EXPECT_NEAR(costs[2], costs[0], 1e-6 * costs[0]);
 }
 
 TEST_F(StrategyTest, ApproximateSavesEvaluationsOnStaleBounds) {
   // The Kathuria–Sudarshan pruning must actually prune: on a batch with
   // several candidates the approximate strategy performs fewer enabled-set
-  // optimizations than the non-lazy greedy, and the trace records the
-  // accepted-on-stale-bound savings.
+  // optimizations than exhaustive subset enumeration, and the trace records
+  // the accepted-on-stale-bound savings.
   auto run = [&](EnumerationStrategy strategy, CseMetrics* metrics) {
     QueryContext ctx(catalog_);
     auto stmts = sql::BindSql(kWideBatch, &ctx);
@@ -372,21 +370,19 @@ TEST_F(StrategyTest, ApproximateSavesEvaluationsOnStaleBounds) {
     CseQueryOptimizer optimizer(&ctx, options);
     optimizer.Optimize(*stmts, metrics);
   };
-  CseMetrics greedy, approx;
-  run(EnumerationStrategy::kGreedy, &greedy);
+  CseMetrics exhaustive, approx;
+  run(EnumerationStrategy::kExhaustive, &exhaustive);
   run(EnumerationStrategy::kApproximate, &approx);
-  ASSERT_GE(greedy.candidates_after_pruning, 4);
-  EXPECT_LT(approx.cse_optimizations, greedy.cse_optimizations);
+  ASSERT_GE(exhaustive.candidates_after_pruning, 4);
+  EXPECT_LT(approx.cse_optimizations, exhaustive.cse_optimizations);
   EXPECT_GT(approx.trace.skipped_stale_bound, 0);
   EXPECT_NE(approx.trace.ExplainTrace().find("stale lazy bound"),
             std::string::npos);
 }
 
-TEST_F(StrategyTest, EnvDefaultParsesAndNames) {
+TEST_F(StrategyTest, NamesRoundTrip) {
   EXPECT_STREQ(EnumerationStrategyName(EnumerationStrategy::kExhaustive),
                "exhaustive");
-  EXPECT_STREQ(EnumerationStrategyName(EnumerationStrategy::kGreedy),
-               "greedy");
   EXPECT_STREQ(EnumerationStrategyName(EnumerationStrategy::kApproximate),
                "approximate");
   for (EnumerationStrategy s : testing::AllEnumerationStrategies()) {
@@ -394,6 +390,7 @@ TEST_F(StrategyTest, EnvDefaultParsesAndNames) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, s);
   }
+  EXPECT_FALSE(ParseEnumerationStrategy("greedy").has_value());
   EXPECT_FALSE(ParseEnumerationStrategy("volcano").has_value());
   EXPECT_FALSE(ParseEnumerationStrategy("").has_value());
 }

@@ -83,8 +83,8 @@ TEST_P(EnumerationParamTest, PrunedEnumerationMatchesExhaustiveMinimum) {
   ASSERT_TRUE(stmts.ok());
   CseOptimizerOptions options;
   options.enable_heuristics = false;  // keep every candidate
-  // This test asserts §5.3-specific optimality; pin the strategy so the
-  // suite stays green under SUBSHARE_ENUM_STRATEGY=greedy CI runs.
+  // This test asserts §5.3-specific optimality, so it pins the exhaustive
+  // strategy explicitly rather than relying on the option default.
   options.strategy = EnumerationStrategy::kExhaustive;
   CseQueryOptimizer optimizer(&ctx, options);
   CseMetrics metrics;

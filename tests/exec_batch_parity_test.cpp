@@ -174,15 +174,10 @@ std::vector<std::string> RunBothModes(const PhysicalNode& node) {
   ExecContext row_ctx;
   row_ctx.mode = ExecMode::kRowAtATime;
   std::vector<std::string> row = Canon(RunToVector(node, &row_ctx));
-  // Batch mode must agree in both probe flavors: AMAC-interleaved
-  // (prefetch on) and the straight-line reference loops (prefetch off).
-  for (bool prefetch : {true, false}) {
-    ExecContext batch_ctx;
-    batch_ctx.mode = ExecMode::kBatch;
-    batch_ctx.prefetch = prefetch;
-    std::vector<std::string> batch = Canon(RunToVector(node, &batch_ctx));
-    EXPECT_EQ(row, batch) << "prefetch=" << prefetch;
-  }
+  ExecContext batch_ctx;
+  batch_ctx.mode = ExecMode::kBatch;
+  std::vector<std::string> batch = Canon(RunToVector(node, &batch_ctx));
+  EXPECT_EQ(row, batch);
   return row;
 }
 
@@ -335,13 +330,13 @@ TEST(ExecBatchParityTest, RowPullInsideBatchModeTree) {
   RunBothModes(*nlj);
 }
 
-// The CLAUDE.md batch/row-pull gotcha, aimed at the AMAC probe: a batch-mode
-// NL-join parent (no NextBatch override) pulls the hash join row by row
-// while the join's bindings target the windowed FindBatch machinery. The
-// composite two-column key forces the generic path, whose ChainTable chains
-// are keyed by hash and filtered at emit — both prefetch flavors must agree
-// with row mode (RunBothModes runs batch with prefetch on and off).
-TEST(ExecBatchParityTest, RowPullOverPrefetchingCompositeKeyJoin) {
+// The CLAUDE.md batch/row-pull gotcha, aimed at the generic probe path: a
+// batch-mode NL-join parent (no NextBatch override) pulls the hash join row
+// by row while the join's bindings target the windowed FindBatch machinery.
+// The composite two-column key forces the generic path, whose ChainTable
+// chains are keyed by hash and filtered at emit; batch mode must agree with
+// row mode.
+TEST(ExecBatchParityTest, RowPullOverCompositeKeyJoin) {
   Rng rng(67);
   Catalog catalog;
   QueryContext ctx(&catalog);

@@ -3,7 +3,7 @@
 //   - runs seeded random query batches (>= 500 statements by default)
 //     under row/batch × naive/CSE and cross-checks results and the §5.2
 //     cost/spool plan invariants,
-//   - sweeps the enumeration strategies (exhaustive/greedy/approximate)
+//   - sweeps the enumeration strategies (exhaustive/approximate)
 //     over the corpus and random batches, cross-checking every strategy's
 //     plan against the naive reference,
 //   - pins generator determinism and shrinker well-formedness, and the
